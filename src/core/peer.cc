@@ -4,6 +4,7 @@
 
 #include "src/core/dependency.h"
 #include "src/core/query.h"
+#include "src/obs/metrics.h"
 #include "src/relational/eval.h"
 #include "src/util/logging.h"
 
@@ -113,26 +114,17 @@ Status Peer::AttachStorage(std::unique_ptr<storage::Storage> storage) {
 }
 
 void Peer::OnDeltaApplied(const storage::DeltaMap& delta) {
-  // MVCC commit point: fold the whole batch into the successor snapshot and
-  // swap it in before any durability work. Readers observe either none or
-  // all of this chase application (a prefix of committed batches), and
-  // visibility is decoupled from fsync — safe because the protocol is
+  // MVCC commit point: publish the relations' new watermarks, which cover
+  // the whole batch, before any durability work. Readers observe either
+  // none or all of this chase application (a prefix of committed batches),
+  // and visibility is decoupled from fsync — safe because the protocol is
   // monotone and a crash loses nothing a reader could not re-derive.
-  {
-    uint64_t committed = snapshots_->NoteBatchCommitted();
-    std::vector<std::string> touched;
-    touched.reserve(delta.size());
-    for (const auto& [relation, tuples] : delta) {
-      (void)tuples;
-      touched.push_back(relation);
-    }
-    snapshots_->Publish(
-        rel::AdvanceSnapshot(snapshots_->Acquire(), db_, touched, committed));
-  }
+  snapshots_->Publish(
+      rel::BuildSnapshot(db_, snapshots_->NoteBatchCommitted()));
   if (storage_ == nullptr) return;
-  uint64_t wal_start = span_open_ ? runtime_->NowMicros() : 0;
+  uint64_t wal_start = span_open_ ? obs::SteadyMicros() : 0;
   Status logged = storage_->LogDelta(delta);
-  if (span_open_) RecordWalMicros(runtime_->NowMicros() - wal_start);
+  if (span_open_) RecordWalMicros(obs::SteadyMicros() - wal_start);
   if (!logged.ok()) {
     P2PDB_LOG(kError) << "WAL append failed at node " << id_ << ": "
                       << logged.ToString();

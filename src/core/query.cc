@@ -1,20 +1,11 @@
 #include "src/core/query.h"
 
-#include <chrono>
-
 #include "src/obs/metrics.h"
 #include "src/relational/eval.h"
 
 namespace p2pdb::core {
 
 namespace {
-
-uint64_t NowMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 void RecordServed(const rel::SnapshotStore& store, const rel::DbSnapshot& snap,
                   uint64_t eval_micros) {
@@ -27,7 +18,7 @@ void RecordServed(const rel::SnapshotStore& store, const rel::DbSnapshot& snap,
   eval->Record(eval_micros);
   served->Increment();
   // High-water staleness: how many committed batches the served view lagged.
-  // Normally 0; 1 while a reader overlaps the writer's snapshot rebuild.
+  // Normally 0; 1 while a reader overlaps the writer's snapshot publish.
   uint64_t committed = store.CommittedBatches();
   if (committed > snap.version()) {
     staleness->RaiseTo(static_cast<int64_t>(committed - snap.version()));
@@ -39,9 +30,9 @@ void RecordServed(const rel::SnapshotStore& store, const rel::DbSnapshot& snap,
 Result<std::set<rel::Tuple>> SnapshotQuery(const rel::SnapshotStore& store,
                                            const rel::ConjunctiveQuery& query) {
   rel::SnapshotPtr snap = store.Acquire();
-  uint64_t start = NowMicros();
+  uint64_t start = obs::SteadyMicros();
   auto result = rel::EvaluateQuery(*snap, query);
-  RecordServed(store, *snap, NowMicros() - start);
+  RecordServed(store, *snap, obs::SteadyMicros() - start);
   return result;
 }
 
@@ -49,10 +40,9 @@ Result<bool> SnapshotQueryPoint(const rel::SnapshotStore& store,
                                 const std::string& relation,
                                 const rel::Tuple& key) {
   rel::SnapshotPtr snap = store.Acquire();
-  uint64_t start = NowMicros();
-  const rel::Relation* rel = snap->FindRelation(relation);
-  bool found = rel != nullptr && rel->Contains(key);
-  RecordServed(store, *snap, NowMicros() - start);
+  uint64_t start = obs::SteadyMicros();
+  bool found = snap->View(relation).Contains(key);
+  RecordServed(store, *snap, obs::SteadyMicros() - start);
   return found;
 }
 

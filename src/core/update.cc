@@ -200,9 +200,10 @@ bool UpdateEngine::JoinAndApply(RuleRuntime* rr, uint32_t delta_part,
   ++stats_.joins_evaluated;
   const CoordinationRule& rule = rr->rule;
   // Chase apply time = semi-naive join + head application (WAL time is
-  // charged separately inside OnDeltaApplied). One clock pair per join is
-  // noise next to the join itself, so this is not gated.
-  const uint64_t chase_start = peer_->runtime()->NowMicros();
+  // charged separately inside OnDeltaApplied), on the steady clock. One
+  // clock pair per join is noise next to the join itself, so this is not
+  // gated.
+  const uint64_t chase_start = obs::SteadyMicros();
 
   // Semi-naive join: the delta part contributes only its new tuples, every
   // other part its full accumulated answers; one scratch relation per part,
@@ -246,7 +247,7 @@ bool UpdateEngine::JoinAndApply(RuleRuntime* rr, uint32_t delta_part,
                                     &peer_->nulls(), options_.chase,
                                     &chase_stats);
   {
-    uint64_t micros = peer_->runtime()->NowMicros() - chase_start;
+    uint64_t micros = obs::SteadyMicros() - chase_start;
     static obs::Histogram* chase =
         obs::Registry::Global().GetHistogram("update.chase_apply_micros");
     chase->Record(micros);

@@ -20,6 +20,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -28,6 +29,15 @@
 #include <vector>
 
 namespace p2pdb::obs {
+
+/// Wall-clock microseconds on the steady clock, for timing work. Runtime
+/// NowMicros() is simulated time on SimRuntime, where no work takes any.
+inline uint64_t SteadyMicros() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 /// Monotone event count. Add() is wait-free and contention-sharded: each
 /// thread lands on one of kShards padded cells, so concurrent recorders do

@@ -1,5 +1,6 @@
 #include "src/relational/chase.h"
 
+#include <algorithm>
 #include <set>
 
 #include "src/relational/eval.h"
@@ -36,43 +37,36 @@ uint32_t MaxNullDepth(const Binding& binding) {
 }
 
 // True if some tuple of `relation` agrees with the atom on every position
-// whose term is bound under `binding` (constants are always bound). Uses the
-// column index on the first bound position to avoid full scans.
+// whose term is bound under `binding` (constants are always bound). Walks the
+// postings of the first bound position to avoid full scans.
 bool ProjectionPresent(const Relation& relation, const Atom& atom,
                        const Binding& binding) {
-  auto matches = [&](const Tuple& tuple) {
-    for (size_t i = 0; i < atom.terms.size(); ++i) {
-      const Term& t = atom.terms[i];
-      if (!t.is_var()) {
-        if (!(t.constant == tuple.at(i))) return false;
-      } else {
-        auto it = binding.find(t.var);
-        if (it != binding.end() && !(it->second == tuple.at(i))) return false;
-        // Unbound (existential) position: any value matches.
-      }
-    }
-    return true;
-  };
-
-  // First bound position, if any, narrows the candidates via the index.
+  // The value each position must hold; nullptr where any value matches
+  // (an unbound, existential variable).
+  std::vector<const Value*> want(atom.terms.size(), nullptr);
   for (size_t i = 0; i < atom.terms.size(); ++i) {
     const Term& t = atom.terms[i];
-    const Value* key = nullptr;
     if (!t.is_var()) {
-      key = &t.constant;
-    } else {
-      auto it = binding.find(t.var);
-      if (it != binding.end()) key = &it->second;
+      want[i] = &t.constant;
+    } else if (auto it = binding.find(t.var); it != binding.end()) {
+      want[i] = &it->second;
     }
-    if (key == nullptr) continue;
-    auto [begin, end] = relation.IndexOn(i).equal_range(*key);
-    for (auto it = begin; it != end; ++it) {
-      if (matches(*it->second)) return true;
-    }
-    return false;
   }
+  auto key = std::find_if(want.begin(), want.end(),
+                          [](const Value* v) { return v != nullptr; });
   // Fully existential atom: any tuple witnesses it.
-  return !relation.empty();
+  if (key == want.end()) return !relation.empty();
+  size_t column = static_cast<size_t>(key - want.begin());
+  if (column >= relation.schema().arity()) return false;  // Insert refuses.
+  bool found = false;
+  relation.View().ForEachMatch(column, **key, [&](const Tuple& tuple) {
+    found = true;
+    for (size_t i = 0; found && i < want.size(); ++i) {
+      found = want[i] == nullptr || *want[i] == tuple.at(i);
+    }
+    return !found;
+  });
+  return found;
 }
 
 // True if `binding` extends to a homomorphism making every head atom present.
@@ -86,13 +80,8 @@ bool HomomorphismPresent(const Database& db,
     Atom frozen;
     frozen.relation = a.relation;
     for (const Term& t : a.terms) {
-      if (t.is_var()) {
-        auto it = binding.find(t.var);
-        frozen.terms.push_back(it == binding.end() ? t
-                                                   : Term::Const(it->second));
-      } else {
-        frozen.terms.push_back(t);
-      }
+      auto it = t.is_var() ? binding.find(t.var) : binding.end();
+      frozen.terms.push_back(it == binding.end() ? t : Term::Const(it->second));
     }
     probe.atoms.push_back(std::move(frozen));
   }
@@ -109,12 +98,32 @@ Tuple InstantiateAtom(const Atom& atom, const Binding& binding) {
   return Tuple(std::move(row));
 }
 
+// Inserts every atom instantiated under `binding`; true if any was new.
+Result<bool> InsertAtoms(Database* db, const std::vector<const Atom*>& atoms,
+                         const Binding& binding, ChaseStats* stats) {
+  bool any_inserted = false;
+  for (const Atom* a : atoms) {
+    Tuple tuple = InstantiateAtom(*a, binding);
+    auto added = db->Insert(a->relation, tuple);
+    if (!added.ok()) return added.status();
+    if (!*added) continue;
+    any_inserted = true;
+    ++stats->inserted;
+    if (stats->collect_inserted != nullptr) {
+      (*stats->collect_inserted)[a->relation].insert(std::move(tuple));
+    }
+  }
+  return any_inserted;
+}
+
 }  // namespace
 
 Status ApplyRuleHead(Database* db, const std::vector<Atom>& head_atoms,
                      const Binding& binding, NullFactory* nulls,
                      const ChaseOptions& options, ChaseStats* stats) {
   std::vector<std::string> existentials = ExistentialVars(head_atoms, binding);
+  std::vector<const Atom*> to_insert;
+  for (const Atom& a : head_atoms) to_insert.push_back(&a);
 
   if (!existentials.empty()) {
     uint32_t base_depth = MaxNullDepth(binding);
@@ -129,53 +138,30 @@ Status ApplyRuleHead(Database* db, const std::vector<Atom>& head_atoms,
     }
     // Decide which atoms to insert *before* minting nulls so both policies
     // share the instantiation path.
-    std::vector<const Atom*> to_insert;
     if (options.policy == ChasePolicy::kProjectionCheck) {
-      for (const Atom& a : head_atoms) {
-        auto rel = db->Get(a.relation);
+      std::vector<const Atom*> absent;
+      for (const Atom* a : to_insert) {
+        auto rel = db->Get(a->relation);
         if (!rel.ok()) return rel.status();
-        if (!ProjectionPresent(**rel, a, binding)) to_insert.push_back(&a);
+        if (!ProjectionPresent(**rel, *a, binding)) absent.push_back(a);
       }
-      if (to_insert.empty()) {
+      if (absent.empty()) {
         ++stats->skipped;
         return Status::OK();
       }
-    } else {
-      for (const Atom& a : head_atoms) to_insert.push_back(&a);
+      to_insert = std::move(absent);
     }
     Binding extended = binding;
     for (const std::string& v : existentials) {
       extended.emplace(v, nulls->Fresh(base_depth));
     }
-    for (const Atom* a : to_insert) {
-      Tuple tuple = InstantiateAtom(*a, extended);
-      auto added = db->Insert(a->relation, tuple);
-      if (!added.ok()) return added.status();
-      if (*added) {
-        ++stats->inserted;
-        if (stats->collect_inserted != nullptr) {
-          (*stats->collect_inserted)[a->relation].insert(std::move(tuple));
-        }
-      }
-    }
-    return Status::OK();
+    return InsertAtoms(db, to_insert, extended, stats).status();
   }
 
   // Fully bound head: plain set insertion.
-  bool any_inserted = false;
-  for (const Atom& a : head_atoms) {
-    Tuple tuple = InstantiateAtom(a, binding);
-    auto added = db->Insert(a.relation, tuple);
-    if (!added.ok()) return added.status();
-    if (*added) {
-      ++stats->inserted;
-      any_inserted = true;
-      if (stats->collect_inserted != nullptr) {
-        (*stats->collect_inserted)[a.relation].insert(std::move(tuple));
-      }
-    }
-  }
-  if (!any_inserted) ++stats->skipped;
+  auto any_inserted = InsertAtoms(db, to_insert, binding, stats);
+  if (!any_inserted.ok()) return any_inserted.status();
+  if (!*any_inserted) ++stats->skipped;
   return Status::OK();
 }
 

@@ -82,12 +82,8 @@ std::vector<std::string> ConjunctiveQuery::BodyVariables() const {
 }
 
 Status ConjunctiveQuery::CheckSafe() const {
-  std::set<std::string> body_vars;
-  for (const Atom& a : atoms) {
-    for (const Term& t : a.terms) {
-      if (t.is_var()) body_vars.insert(t.var);
-    }
-  }
+  std::vector<std::string> vars = BodyVariables();
+  std::set<std::string> body_vars(vars.begin(), vars.end());
   for (const std::string& v : head_vars) {
     if (!body_vars.count(v)) {
       return Status::Unsupported("unsafe query: head variable " + v +

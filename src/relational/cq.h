@@ -21,17 +21,9 @@ struct Term {
   Value constant;
 
   static Term Var(std::string name) {
-    Term t;
-    t.kind = Kind::kVar;
-    t.var = std::move(name);
-    return t;
+    return Term{Kind::kVar, std::move(name), Value()};
   }
-  static Term Const(Value v) {
-    Term t;
-    t.kind = Kind::kConst;
-    t.constant = std::move(v);
-    return t;
-  }
+  static Term Const(Value v) { return Term{Kind::kConst, "", std::move(v)}; }
   bool is_var() const { return kind == Kind::kVar; }
 
   bool operator==(const Term& other) const;

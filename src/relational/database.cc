@@ -4,8 +4,7 @@ namespace p2pdb::rel {
 
 Status Database::CreateRelation(RelationSchema schema) {
   const std::string name = schema.name();
-  auto [it, inserted] = relations_.emplace(name, Relation(std::move(schema)));
-  (void)it;
+  bool inserted = relations_.emplace(name, Relation(std::move(schema))).second;
   if (!inserted) return Status::AlreadyExists("relation " + name);
   return Status::OK();
 }

@@ -12,16 +12,16 @@
 namespace p2pdb::rel {
 
 /// Something conjunctive queries can be evaluated against: a name-to-relation
-/// lookup. Implemented by the live Database and by immutable MVCC snapshots
+/// lookup. Implemented by the live Database and by MVCC snapshots
 /// (src/relational/mvcc.h), so the evaluator serves both the chase (writer
 /// side) and concurrent readers without knowing which it is looking at.
 class ReadView {
  public:
   virtual ~ReadView() = default;
 
-  /// The named relation, or nullptr when it does not exist (the evaluator
-  /// treats a missing relation as empty).
-  virtual const Relation* FindRelation(const std::string& name) const = 0;
+  /// The named relation's rows as this view sees them; an empty view when
+  /// the relation does not exist (the evaluator treats it as empty).
+  virtual RelationView View(const std::string& name) const = 0;
 };
 
 /// One node's local database. Relation names are unique within a node; the
@@ -39,9 +39,14 @@ class Database : public ReadView {
   Result<const Relation*> Get(const std::string& name) const;
   Result<Relation*> GetMutable(const std::string& name);
 
-  const Relation* FindRelation(const std::string& name) const override {
+  const Relation* FindRelation(const std::string& name) const {
     auto it = relations_.find(name);
     return it == relations_.end() ? nullptr : &it->second;
+  }
+
+  RelationView View(const std::string& name) const override {
+    const Relation* relation = FindRelation(name);
+    return relation == nullptr ? RelationView() : relation->View();
   }
 
   /// Convenience: inserts into a named relation; true if the tuple was new.

@@ -16,24 +16,51 @@ size_t BoundScore(const Atom& atom, const std::set<std::string>& bound) {
   return score;
 }
 
-// Returns builtins whose variables are all bound.
-bool BuiltinReady(const Builtin& b, const std::set<std::string>& bound) {
-  for (const Term* t : {&b.lhs, &b.rhs}) {
-    if (t->is_var() && !bound.count(t->var)) return false;
+// Removes from `pending` and returns, in order, the builtins whose
+// variables are all bound.
+std::vector<const Builtin*> TakeReady(std::vector<const Builtin*>* pending,
+                                      const std::set<std::string>& bound) {
+  auto known = [&](const Term& t) { return !t.is_var() || bound.count(t.var); };
+  auto ready = std::stable_partition(
+      pending->begin(), pending->end(),
+      [&](const Builtin* b) { return !known(b->lhs) || !known(b->rhs); });
+  std::vector<const Builtin*> out(ready, pending->end());
+  pending->erase(ready, pending->end());
+  return out;
+}
+
+Value ResolveTerm(const Term& t, const Binding& binding) {
+  return t.is_var() ? binding.find(t.var)->second : t.constant;
+}
+
+bool BuiltinsHold(const std::vector<const Builtin*>& builtins,
+                  const Binding& binding) {
+  for (const Builtin* b : builtins) {
+    if (!EvalBuiltin(b->op, ResolveTerm(b->lhs, binding),
+                     ResolveTerm(b->rhs, binding))) {
+      return false;
+    }
   }
   return true;
 }
 
-Value ResolveTerm(const Term& t, const Binding& binding) {
-  if (!t.is_var()) return t.constant;
-  auto it = binding.find(t.var);
-  return it->second;
+// Adds the projection of `binding` onto `head_vars` to `out`, unless some
+// head variable is unbound.
+void Project(const Binding& binding, const std::vector<std::string>& head_vars,
+             std::set<Tuple>* out) {
+  std::vector<Value> row;
+  row.reserve(head_vars.size());
+  for (const std::string& v : head_vars) {
+    auto it = binding.find(v);
+    if (it == binding.end()) return;
+    row.push_back(it->second);
+  }
+  out->insert(Tuple(std::move(row)));
 }
 
 struct EvalContext {
-  const ReadView* db;
-  const ConjunctiveQuery* query;
   std::vector<const Atom*> order;
+  std::vector<RelationView> views;  // views[i] = the relation of order[i].
   // builtins_at[i] = builtins that become checkable right after atom order[i].
   std::vector<std::vector<const Builtin*>> builtins_at;
   std::vector<Binding> results;
@@ -45,18 +72,15 @@ void Backtrack(EvalContext* ctx, size_t depth, Binding* binding) {
     return;
   }
   const Atom& atom = *ctx->order[depth];
-  const Relation* rel = ctx->db->FindRelation(atom.relation);
-  if (rel == nullptr) return;  // Missing relation: empty answer.
+  const RelationView& rel = ctx->views[depth];
+  // Missing or empty relation, or an atom of the wrong arity: no tuple
+  // can unify.
+  if (rel.size() == 0 || atom.terms.size() != rel.arity()) return;
 
   auto try_tuple = [&](const Tuple& tuple) {
     Binding extended = *binding;
     if (!UnifyAtomWithTuple(atom, tuple, &extended)) return;
-    for (const Builtin* b : ctx->builtins_at[depth]) {
-      if (!EvalBuiltin(b->op, ResolveTerm(b->lhs, extended),
-                       ResolveTerm(b->rhs, extended))) {
-        return;
-      }
-    }
+    if (!BuiltinsHold(ctx->builtins_at[depth], extended)) return;
     Backtrack(ctx, depth + 1, &extended);
   };
 
@@ -78,18 +102,14 @@ void Backtrack(EvalContext* ctx, size_t depth, Binding* binding) {
       break;
     }
   }
-  // The index path is gated on column < arity so a pre-indexed immutable
-  // snapshot never builds an index on demand (the lazy build mutates under
-  // const — unsafe with concurrent readers). An arity-mismatched atom falls
-  // through to the scan, where unification rejects every tuple anyway.
-  if (indexed_pos >= 0 &&
-      static_cast<size_t>(indexed_pos) < rel->schema().arity()) {
-    const Relation::ColumnIndex& index =
-        rel->IndexOn(static_cast<size_t>(indexed_pos));
-    auto [begin, end] = index.equal_range(key);
-    for (auto it = begin; it != end; ++it) try_tuple(*it->second);
+  if (indexed_pos >= 0) {
+    rel.ForEachMatch(static_cast<size_t>(indexed_pos), key,
+                     [&](const Tuple& tuple) {
+                       try_tuple(tuple);
+                       return true;
+                     });
   } else {
-    for (const Tuple& tuple : rel->tuples()) try_tuple(tuple);
+    for (size_t i = 0; i < rel.size(); ++i) try_tuple(rel.row(i));
   }
 }
 
@@ -100,8 +120,6 @@ Result<std::vector<Binding>> EvaluateSeeded(const ReadView& db,
                                             size_t skip_atom,
                                             const Binding* seed) {
   EvalContext ctx;
-  ctx.db = &db;
-  ctx.query = &query;
 
   // Greedy ordering: repeatedly pick the atom with the most bound positions.
   std::vector<const Atom*> pending;
@@ -116,18 +134,7 @@ Result<std::vector<Binding>> EvaluateSeeded(const ReadView& db,
   std::vector<const Builtin*> pending_builtins;
   for (const Builtin& b : query.builtins) pending_builtins.push_back(&b);
   // Builtins already decidable from the seed alone are checked up front.
-  std::vector<const Builtin*> immediate;
-  {
-    auto it = pending_builtins.begin();
-    while (it != pending_builtins.end()) {
-      if (BuiltinReady(**it, bound)) {
-        immediate.push_back(*it);
-        it = pending_builtins.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
+  std::vector<const Builtin*> immediate = TakeReady(&pending_builtins, bound);
 
   while (!pending.empty()) {
     auto best = std::max_element(
@@ -137,41 +144,20 @@ Result<std::vector<Binding>> EvaluateSeeded(const ReadView& db,
     const Atom* chosen = *best;
     pending.erase(best);
     ctx.order.push_back(chosen);
+    ctx.views.push_back(db.View(chosen->relation));
     for (const std::string& v : chosen->Variables()) bound.insert(v);
     // Attach builtins that just became fully bound.
-    std::vector<const Builtin*> now;
-    auto it = pending_builtins.begin();
-    while (it != pending_builtins.end()) {
-      if (BuiltinReady(**it, bound)) {
-        now.push_back(*it);
-        it = pending_builtins.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    ctx.builtins_at.push_back(std::move(now));
+    ctx.builtins_at.push_back(TakeReady(&pending_builtins, bound));
   }
   if (!pending_builtins.empty()) {
     return Status::Unsupported("built-in over unbound variables: " +
                                pending_builtins.front()->ToString());
   }
 
-  // Check seed-decidable builtins before any scanning.
+  // Check seed-decidable builtins before any scanning; a seed that
+  // contradicts one answers empty.
   Binding binding = seed != nullptr ? *seed : Binding{};
-  auto resolve = [&](const Term& t) {
-    return t.is_var() ? binding.at(t.var) : t.constant;
-  };
-  for (const Builtin* b : immediate) {
-    if (!EvalBuiltin(b->op, resolve(b->lhs), resolve(b->rhs))) {
-      return ctx.results;  // Seed contradicts a builtin: empty.
-    }
-  }
-
-  if (ctx.order.empty()) {
-    ctx.results.push_back(binding);
-    return ctx.results;
-  }
-  Backtrack(&ctx, 0, &binding);
+  if (BuiltinsHold(immediate, binding)) Backtrack(&ctx, 0, &binding);
   return ctx.results;
 }
 
@@ -191,18 +177,15 @@ bool UnifyAtomWithTuple(const Atom& atom, const Tuple& tuple,
   for (size_t i = 0; i < atom.terms.size(); ++i) {
     const Term& t = atom.terms[i];
     const Value& v = tuple.at(i);
+    bool agrees = true;
     if (!t.is_var()) {
-      if (!(t.constant == v)) {
-        for (const auto& name : added) binding->erase(name);
-        return false;
-      }
-      continue;
-    }
-    auto it = binding->find(t.var);
-    if (it == binding->end()) {
-      binding->emplace(t.var, v);
+      agrees = t.constant == v;
+    } else if (auto [it, fresh] = binding->try_emplace(t.var, v); fresh) {
       added.push_back(t.var);
-    } else if (!(it->second == v)) {
+    } else {
+      agrees = it->second == v;
+    }
+    if (!agrees) {
       for (const auto& name : added) binding->erase(name);
       return false;
     }
@@ -215,14 +198,7 @@ Result<std::set<Tuple>> EvaluateQuery(const ReadView& db,
   auto bindings = EvaluateImpl(db, query);
   if (!bindings.ok()) return bindings.status();
   std::set<Tuple> out;
-  for (const Binding& b : *bindings) {
-    std::vector<Value> row;
-    row.reserve(query.head_vars.size());
-    for (const std::string& v : query.head_vars) {
-      row.push_back(b.at(v));
-    }
-    out.insert(Tuple(std::move(row)));
-  }
+  for (const Binding& b : *bindings) Project(b, query.head_vars, &out);
   return out;
 }
 
@@ -246,20 +222,7 @@ Result<std::set<Tuple>> EvaluateQueryDelta(const ReadView& db,
     if (!UnifyAtomWithTuple(atom, t, &seed)) continue;
     auto bindings = EvaluateSeeded(db, query, delta_atom, &seed);
     if (!bindings.ok()) return bindings.status();
-    for (const Binding& b : *bindings) {
-      std::vector<Value> row;
-      row.reserve(query.head_vars.size());
-      bool complete = true;
-      for (const std::string& v : query.head_vars) {
-        auto it = b.find(v);
-        if (it == b.end()) {
-          complete = false;
-          break;
-        }
-        row.push_back(it->second);
-      }
-      if (complete) out.insert(Tuple(std::move(row)));
-    }
+    for (const Binding& b : *bindings) Project(b, query.head_vars, &out);
   }
   return out;
 }

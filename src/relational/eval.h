@@ -1,5 +1,5 @@
 // Conjunctive query evaluation over any ReadView (a live database or an
-// immutable MVCC snapshot).
+// MVCC snapshot).
 #ifndef P2PDB_RELATIONAL_EVAL_H_
 #define P2PDB_RELATIONAL_EVAL_H_
 

@@ -30,42 +30,31 @@ bool MatchFacts(const std::vector<Fact>& a_facts, size_t index,
                 std::map<Value, uint64_t>* reverse, bool injective) {
   if (index == a_facts.size()) return true;
   const Fact& f = a_facts[index];
-  auto rel = b.Get(*f.relation);
-  if (!rel.ok()) return false;
-  for (const Tuple& candidate : (*rel)->tuples()) {
+  const Relation* rel = b.FindRelation(*f.relation);
+  if (rel == nullptr) return false;
+  for (const Tuple& candidate : rel->tuples()) {
     if (candidate.arity() != f.tuple->arity()) continue;
     // Try to extend the mapping so f.tuple -> candidate.
     std::vector<uint64_t> added;
     std::vector<Value> added_rev;
     bool ok = true;
-    for (size_t i = 0; i < f.tuple->arity(); ++i) {
+    for (size_t i = 0; ok && i < f.tuple->arity(); ++i) {
       const Value& av = f.tuple->at(i);
       const Value& bv = candidate.at(i);
       if (!av.is_null()) {
-        if (!(av == bv)) {
-          ok = false;
-          break;
+        ok = av == bv;
+      } else if (auto it = mapping->find(av.null_id()); it != mapping->end()) {
+        ok = it->second == bv;
+      } else if (injective && (!bv.is_null() || reverse->count(bv))) {
+        ok = false;
+      } else {
+        if (injective) {
+          reverse->emplace(bv, av.null_id());
+          added_rev.push_back(bv);
         }
-        continue;
+        mapping->emplace(av.null_id(), bv);
+        added.push_back(av.null_id());
       }
-      auto it = mapping->find(av.null_id());
-      if (it != mapping->end()) {
-        if (!(it->second == bv)) {
-          ok = false;
-          break;
-        }
-        continue;
-      }
-      if (injective) {
-        if (!bv.is_null() || reverse->count(bv)) {
-          ok = false;
-          break;
-        }
-        reverse->emplace(bv, av.null_id());
-        added_rev.push_back(bv);
-      }
-      mapping->emplace(av.null_id(), bv);
-      added.push_back(av.null_id());
     }
     if (ok && MatchFacts(a_facts, index + 1, b, mapping, reverse, injective)) {
       return true;
@@ -88,12 +77,9 @@ bool NullFactsMapInto(const Database& a, const Database& b, bool injective) {
 bool DatabasesIsomorphic(const Database& a, const Database& b) {
   // Structural preconditions: same relations and cardinalities, identical
   // certain parts.
-  if (a.relations().size() != b.relations().size()) return false;
+  if (!DatabasesCertainEqual(a, b)) return false;
   for (const auto& [name, relation] : a.relations()) {
-    auto other = b.Get(name);
-    if (!other.ok()) return false;
-    if (relation.size() != (*other)->size()) return false;
-    if (relation.CertainTuples() != (*other)->CertainTuples()) return false;
+    if (relation.size() != b.FindRelation(name)->size()) return false;
   }
   // Injective mapping in both directions suffices given equal cardinalities.
   return NullFactsMapInto(a, b, /*injective=*/true) &&
@@ -103,9 +89,11 @@ bool DatabasesIsomorphic(const Database& a, const Database& b) {
 bool DatabasesCertainEqual(const Database& a, const Database& b) {
   if (a.relations().size() != b.relations().size()) return false;
   for (const auto& [name, relation] : a.relations()) {
-    auto other = b.Get(name);
-    if (!other.ok()) return false;
-    if (relation.CertainTuples() != (*other)->CertainTuples()) return false;
+    const Relation* other = b.FindRelation(name);
+    if (other == nullptr ||
+        relation.CertainTuples() != other->CertainTuples()) {
+      return false;
+    }
   }
   return true;
 }
@@ -113,11 +101,11 @@ bool DatabasesCertainEqual(const Database& a, const Database& b) {
 bool DatabaseHomomorphicallyContained(const Database& sub,
                                       const Database& sup) {
   for (const auto& [name, relation] : sub.relations()) {
-    auto other = sup.Get(name);
-    if (!other.ok()) return false;
+    const Relation* other = sup.FindRelation(name);
+    if (other == nullptr) return false;
     // Certain tuples must be present verbatim.
     for (const Tuple& t : relation.CertainTuples()) {
-      if (!(*other)->Contains(t)) return false;
+      if (!other->Contains(t)) return false;
     }
   }
   std::vector<Fact> null_facts = Flatten(sub, /*nulls_only=*/true);

@@ -15,8 +15,9 @@ namespace p2pdb::rel {
 /// case; intended for test-sized instances.
 bool DatabasesIsomorphic(const Database& a, const Database& b);
 
-/// Weaker, cheap check used by large property tests: the null-free (certain)
-/// tuples agree exactly, and per relation the tuple counts agree.
+/// Weaker, cheap check used by large property tests: the same relation names,
+/// and per relation the same null-free (certain) tuples. Tuples carrying a
+/// null are not compared at all, not even by count.
 bool DatabasesCertainEqual(const Database& a, const Database& b);
 
 /// True if every tuple of `sub` appears in `sup` after some (not necessarily

@@ -44,7 +44,6 @@ Result<Database> DeserializeDatabase(const std::vector<uint8_t>& bytes) {
   for (uint64_t i = 0; i < *relation_count; ++i) {
     auto name = r.GetString();
     if (!name.ok()) return name.status();
-    std::string rel_name = *name;
     auto arity = r.GetVarint();
     if (!arity.ok()) return arity.status();
     std::vector<std::string> attrs;
@@ -54,12 +53,11 @@ Result<Database> DeserializeDatabase(const std::vector<uint8_t>& bytes) {
       attrs.push_back(std::move(*attr));
     }
     P2PDB_RETURN_IF_ERROR(
-        db.CreateRelation(RelationSchema(rel_name, std::move(attrs))));
+        db.CreateRelation(RelationSchema(*name, std::move(attrs))));
     auto tuples = DecodeTupleSet(&r);
     if (!tuples.ok()) return tuples.status();
-    Relation* relation = *db.GetMutable(rel_name);
     for (const Tuple& t : *tuples) {
-      P2PDB_RETURN_IF_ERROR(relation->Insert(t).status());
+      P2PDB_RETURN_IF_ERROR(db.Insert(*name, t).status());
     }
   }
   if (!r.AtEnd()) return Status::ParseError("trailing bytes in snapshot");

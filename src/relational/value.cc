@@ -4,49 +4,14 @@
 
 namespace p2pdb::rel {
 
-Value Value::Int(int64_t v) {
-  Value out;
-  out.kind_ = ValueKind::kInt;
-  out.int_ = v;
-  return out;
-}
-
-Value Value::Str(std::string v) {
-  Value out;
-  out.kind_ = ValueKind::kString;
-  out.str_ = std::move(v);
-  return out;
-}
-
-Value Value::Null(uint64_t id) {
-  Value out;
-  out.kind_ = ValueKind::kNull;
-  out.int_ = static_cast<int64_t>(id);
-  return out;
-}
-
 bool Value::operator==(const Value& other) const {
   if (kind_ != other.kind_) return false;
-  switch (kind_) {
-    case ValueKind::kInt:
-    case ValueKind::kNull:
-      return int_ == other.int_;
-    case ValueKind::kString:
-      return str_ == other.str_;
-  }
-  return false;
+  return kind_ == ValueKind::kString ? str_ == other.str_ : int_ == other.int_;
 }
 
 bool Value::operator<(const Value& other) const {
   if (kind_ != other.kind_) return kind_ < other.kind_;
-  switch (kind_) {
-    case ValueKind::kInt:
-    case ValueKind::kNull:
-      return int_ < other.int_;
-    case ValueKind::kString:
-      return str_ < other.str_;
-  }
-  return false;
+  return kind_ == ValueKind::kString ? str_ < other.str_ : int_ < other.int_;
 }
 
 size_t Value::Hash() const {
@@ -78,10 +43,6 @@ Value NullFactory::Fresh(uint32_t base_depth) {
   uint32_t seq = (next_seq_++ & 0xffffffu) | (depth << 24);
   uint64_t id = (static_cast<uint64_t>(node_id_) << 32) | seq;
   return Value::Null(id);
-}
-
-uint32_t NullFactory::DepthOf(uint64_t null_id) const {
-  return DepthBitsOf(null_id);
 }
 
 }  // namespace p2pdb::rel

@@ -18,10 +18,14 @@ class Value {
  public:
   Value() : kind_(ValueKind::kInt), int_(0) {}
 
-  static Value Int(int64_t v);
-  static Value Str(std::string v);
+  static Value Int(int64_t v) { return Value(ValueKind::kInt, v); }
+  static Value Str(std::string v) {
+    return Value(ValueKind::kString, 0, std::move(v));
+  }
   /// A labeled null with a network-unique identifier (see NullFactory).
-  static Value Null(uint64_t id);
+  static Value Null(uint64_t id) {
+    return Value(ValueKind::kNull, static_cast<int64_t>(id));
+  }
 
   ValueKind kind() const { return kind_; }
   bool is_null() const { return kind_ == ValueKind::kNull; }
@@ -42,6 +46,9 @@ class Value {
   std::string ToString() const;
 
  private:
+  Value(ValueKind kind, int64_t i, std::string s = {})
+      : kind_(kind), int_(i), str_(std::move(s)) {}
+
   ValueKind kind_;
   int64_t int_;        // integer payload, or null id
   std::string str_;
@@ -59,9 +66,6 @@ class NullFactory {
 
   /// Creates a fresh null whose depth is `base_depth + 1`.
   Value Fresh(uint32_t base_depth = 0);
-
-  /// Depth recorded for a null id; 0 for ids minted elsewhere (conservative).
-  uint32_t DepthOf(uint64_t null_id) const;
 
   /// Extracts the minting node from any null id.
   static uint32_t NodeOf(uint64_t null_id) {
@@ -83,8 +87,6 @@ class NullFactory {
   void ReserveThrough(uint32_t seq) {
     if (next_seq_ <= seq) next_seq_ = seq + 1;
   }
-
-  uint64_t minted_count() const { return next_seq_; }
 
  private:
   uint32_t node_id_;

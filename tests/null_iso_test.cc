@@ -55,6 +55,17 @@ TEST(NullIsoTest, CertainEqualIgnoresNullRows) {
   EXPECT_FALSE(DatabasesCertainEqual(a, c));
 }
 
+TEST(NullIsoTest, CertainEqualIgnoresNullRowCounts) {
+  // Same certain tuples; one null-carrying tuple against three.
+  Database a = MakeDb({Tuple({S("c"), S("d")}), Tuple({S("c"), N(1)})});
+  Database b = MakeDb({Tuple({S("c"), S("d")}), Tuple({S("c"), N(1)}),
+                       Tuple({S("c"), N(2)}), Tuple({N(3), S("e")})});
+  ASSERT_NE(a.TotalTuples(), b.TotalTuples());
+  EXPECT_TRUE(DatabasesCertainEqual(a, b));
+  EXPECT_TRUE(DatabasesCertainEqual(b, a));
+  EXPECT_FALSE(DatabasesIsomorphic(a, b));
+}
+
 TEST(NullIsoTest, HomomorphicContainmentMapsNullsToConstants) {
   // sub has r(c, _1); sup has r(c, x): _1 -> x is a valid homomorphism.
   Database sub = MakeDb({Tuple({S("c"), N(1)})});

@@ -1,6 +1,6 @@
 // Query plane: the lock-free MVCC read path (src/core/query.h) and its
 // snapshot machinery (src/relational/mvcc.h). Covers snapshot/live
-// equivalence before and after updates, copy-on-write sharing, point
+// equivalence before and after updates, watermark isolation, point
 // lookups, crashed-peer reads, the generated query workload, and a
 // TSan-targeted hammer: reader threads on Session::Query while a churned
 // TCP update propagates underneath.
@@ -111,7 +111,7 @@ TEST(QueryPlaneTest, SnapshotAdvancesWithCommittedUpdate) {
   EXPECT_TRUE(derived->count(rel::Tuple({S("u"), S("v")})));  // From E.e.
 }
 
-TEST(QueryPlaneTest, AdvanceSharesUntouchedRelations) {
+TEST(QueryPlaneTest, OldSnapshotKeepsServingOldDataAfterAdvance) {
   rel::Database db;
   ASSERT_TRUE(db.CreateRelation(rel::RelationSchema("hot", {"x", "y"})).ok());
   ASSERT_TRUE(db.CreateRelation(rel::RelationSchema("cold", {"x"})).ok());
@@ -122,12 +122,20 @@ TEST(QueryPlaneTest, AdvanceSharesUntouchedRelations) {
   ASSERT_TRUE(*db.Insert("hot", rel::Tuple({S("c"), S("d")})));
   rel::SnapshotPtr v1 = rel::AdvanceSnapshot(v0, db, {"hot"}, 1);
 
-  // Copy-on-write: the untouched relation is the same frozen object; the
-  // touched one was re-frozen. The old snapshot still serves the old data.
-  EXPECT_EQ(v0->relations().at("cold"), v1->relations().at("cold"));
-  EXPECT_NE(v0->relations().at("hot"), v1->relations().at("hot"));
-  EXPECT_EQ(v0->FindRelation("hot")->size(), 1u);
-  EXPECT_EQ(v1->FindRelation("hot")->size(), 2u);
+  // Both snapshots read the same stores up to their own watermarks: the old
+  // one still serves the old data, the new one sees the insert, and the
+  // untouched relation reads the same in both.
+  EXPECT_EQ(v0->View("hot").size(), 1u);
+  EXPECT_EQ(v1->View("hot").size(), 2u);
+  EXPECT_FALSE(v0->View("hot").Contains(rel::Tuple({S("c"), S("d")})));
+  EXPECT_TRUE(v1->View("hot").Contains(rel::Tuple({S("c"), S("d")})));
+  EXPECT_EQ(*rel::EvaluateQuery(*v0, AllPairs("hot")),
+            (std::set<rel::Tuple>{rel::Tuple({S("a"), S("b")})}));
+  EXPECT_EQ(rel::EvaluateQuery(*v1, AllPairs("hot"))->size(), 2u);
+  EXPECT_TRUE(v0->View("cold").Contains(rel::Tuple({S("k")})));
+  EXPECT_TRUE(v1->View("cold").Contains(rel::Tuple({S("k")})));
+  EXPECT_EQ(v0->TotalTuples(), 2u);
+  EXPECT_EQ(v1->TotalTuples(), 3u);
   EXPECT_EQ(v1->version(), 1u);
 }
 

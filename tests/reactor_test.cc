@@ -3,7 +3,8 @@
 // receivers) is exercised directly. Covers send-queue backpressure isolation
 // (a slow reader wedges only its own senders), writev batching correctness
 // across frame boundaries, exactly-once frame accounting through a mid-write
-// teardown, and a many-peer TcpRuntime fixpoint smoke.
+// teardown, a receiver closing mid-stream (no SIGPIPE), and a many-peer
+// TcpRuntime fixpoint smoke.
 #include "src/net/reactor.h"
 
 #include <arpa/inet.h>
@@ -282,6 +283,51 @@ TEST(ReactorTest, MidWriteTeardownReportsQueuedFramesDropped) {
   // dropped; accounting still covers every accepted frame exactly once.
   EXPECT_GE(handler.dropped(3), 1u);
   EXPECT_EQ(handler.written(3) + handler.dropped(3), kFrames);
+  reactor.Stop();
+}
+
+/// Holds the worker in OnWritten for a while after recording the frames, so
+/// a test can act between two of the worker's writes on one connection.
+class PausingHandler : public RecordingHandler {
+ public:
+  void OnWritten(Connection* conn, size_t frames) override {
+    RecordingHandler::OnWritten(conn, frames);
+    std::this_thread::sleep_for(50ms);
+  }
+};
+
+// A receiver that closes while its sender is still writing. The worker is
+// paused after each write: the receiver reads the first frame and closes
+// (a FIN), the second frame is written into the half-closed connection and
+// answered with a reset, and the third write then fails with EPIPE. Without
+// MSG_NOSIGNAL that write raises SIGPIPE, whose default action kills this
+// whole test process; with it the frame is reported dropped.
+TEST(ReactorTest, ReceiverClosingMidStreamLeavesSenderAlive) {
+  PausingHandler handler;
+  Reactor::Options options;
+  options.workers = 1;
+  Reactor reactor(options, &handler);
+  RawListener listener = RawListener::Open();
+  auto conn = reactor.Connect("127.0.0.1", listener.port, /*token=*/4);
+  int fd = listener.Accept();
+  ASSERT_GE(fd, 0);
+
+  ASSERT_TRUE(conn->Enqueue(std::vector<uint8_t>(64, 1)));
+  ASSERT_TRUE(WaitUntil([&] { return handler.written(4) == 1; }));
+  uint8_t buf[64];
+  for (size_t got = 0; got < sizeof(buf);) {
+    ssize_t n = ::recv(fd, buf + got, sizeof(buf) - got, 0);
+    ASSERT_GT(n, 0);
+    got += static_cast<size_t>(n);
+  }
+  ::close(fd);  // Nothing left unread, so this sends a FIN, not a reset.
+  ASSERT_TRUE(conn->Enqueue(std::vector<uint8_t>(64, 2)));
+  ASSERT_TRUE(WaitUntil([&] { return handler.written(4) == 2; }));
+  ASSERT_TRUE(conn->Enqueue(std::vector<uint8_t>(64, 3)));
+
+  ASSERT_TRUE(WaitUntil([&] { return handler.closes() == 1; }));
+  EXPECT_EQ(handler.written(4), 2u);
+  EXPECT_EQ(handler.dropped(4), 1u);
   reactor.Stop();
 }
 

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "src/relational/database.h"
+#include "src/relational/mvcc.h"
 
 namespace p2pdb::rel {
 namespace {
@@ -63,29 +69,172 @@ TEST(RelationTest, CertainTuplesExcludeNulls) {
   EXPECT_EQ(r.CertainTuples().size(), 1u);
 }
 
-TEST(RelationTest, IndexFindsMatches) {
+/// The tuples of `view` whose `column` equals `key`, via its postings.
+std::set<Tuple> Matches(const RelationView& view, size_t column,
+                        const Value& key) {
+  std::set<Tuple> out;
+  view.ForEachMatch(column, key, [&](const Tuple& t) {
+    out.insert(t);
+    return true;
+  });
+  return out;
+}
+
+/// The same answer from a relation's sorted tuples.
+std::set<Tuple> Filter(const Relation& relation, size_t column,
+                       const Value& key) {
+  std::set<Tuple> out;
+  for (const Tuple& t : relation.tuples()) {
+    if (t.at(column) == key) out.insert(t);
+  }
+  return out;
+}
+
+TEST(RelationTest, PostingsFindMatches) {
   Relation r(PairSchema());
   for (int i = 0; i < 10; ++i) {
     (void)r.Insert(Tuple({Value::Int(i % 3), Value::Int(i)}));
   }
-  const Relation::ColumnIndex& index = r.IndexOn(0);
-  auto [begin, end] = index.equal_range(Value::Int(1));
-  size_t count = 0;
-  for (auto it = begin; it != end; ++it) {
-    EXPECT_EQ(it->second->at(0), Value::Int(1));
-    ++count;
-  }
-  EXPECT_EQ(count, 3u);  // i = 1, 4, 7.
+  std::set<Tuple> ones = Matches(r.View(), 0, Value::Int(1));
+  EXPECT_EQ(ones.size(), 3u);  // i = 1, 4, 7.
+  for (const Tuple& t : ones) EXPECT_EQ(t.at(0), Value::Int(1));
+  EXPECT_TRUE(Matches(r.View(), 1, Value::Int(42)).empty());
 }
 
-TEST(RelationTest, IndexInvalidatedByMutation) {
+TEST(RelationTest, LookupsSeeInsertsWhileOldViewsKeepTheirRows) {
   Relation r(PairSchema());
   (void)r.Insert(Tuple({Value::Int(1), Value::Int(1)}));
-  EXPECT_EQ(r.IndexOn(0).count(Value::Int(1)), 1u);
+  RelationView one_row = r.View();
+  EXPECT_EQ(Matches(r.View(), 0, Value::Int(1)).size(), 1u);
   (void)r.Insert(Tuple({Value::Int(1), Value::Int(2)}));
-  EXPECT_EQ(r.IndexOn(0).count(Value::Int(1)), 2u);
+  EXPECT_EQ(Matches(r.View(), 0, Value::Int(1)).size(), 2u);
+  EXPECT_TRUE(r.View().Contains(Tuple({Value::Int(1), Value::Int(2)})));
+  // The older view is bounded by its row count.
+  EXPECT_EQ(Matches(one_row, 0, Value::Int(1)).size(), 1u);
+  EXPECT_FALSE(one_row.Contains(Tuple({Value::Int(1), Value::Int(2)})));
   r.Clear();
-  EXPECT_EQ(r.IndexOn(0).count(Value::Int(1)), 0u);
+  EXPECT_EQ(Matches(r.View(), 0, Value::Int(1)).size(), 0u);
+}
+
+TEST(RelationTest, CopyGetsItsOwnStore) {
+  Relation a(PairSchema());
+  (void)a.Insert(Tuple({Value::Int(1), Value::Int(2)}));
+  Relation b = a;
+  EXPECT_NE(a.store(), b.store());
+  (void)a.Insert(Tuple({Value::Int(3), Value::Int(4)}));
+  EXPECT_EQ(b.size(), 1u);
+  EXPECT_FALSE(b.View().Contains(Tuple({Value::Int(3), Value::Int(4)})));
+  auto store = a.store();
+  Relation c = std::move(a);
+  EXPECT_EQ(c.store(), store);  // A move keeps the store.
+}
+
+TEST(RelationStoreTest, EraseLeavesASharedStoreToItsSnapshot) {
+  Database db;
+  ASSERT_TRUE(db.CreateRelation(PairSchema()).ok());
+  Tuple gone({Value::Int(1), Value::Int(2)});
+  Tuple kept({Value::Int(1), Value::Int(3)});
+  Tuple later({Value::Int(1), Value::Int(4)});
+  (void)db.Insert("r", gone);
+  (void)db.Insert("r", kept);
+  SnapshotPtr before = BuildSnapshot(db, 0);
+
+  Relation* live = *db.GetMutable("r");
+  EXPECT_TRUE(live->Erase(gone));
+  (void)live->Insert(later);
+  EXPECT_FALSE(live->Contains(gone));
+  EXPECT_EQ(Matches(live->View(), 0, Value::Int(1)),
+            (std::set<Tuple>{kept, later}));
+
+  RelationView old = before->View("r");
+  EXPECT_EQ(old.size(), 2u);
+  EXPECT_TRUE(old.Contains(gone));
+  EXPECT_FALSE(old.Contains(later));
+  EXPECT_EQ(Matches(old, 0, Value::Int(1)), (std::set<Tuple>{gone, kept}));
+  live->Clear();
+  EXPECT_EQ(before->View("r").size(), 2u);
+  EXPECT_TRUE(before->View("r").Contains(kept));
+}
+
+// Reader threads answer point and postings lookups from snapshots they hold
+// while the writer appends across row-log chunk ends (16, 48, 112, ...) and
+// hash-table growth (4, 8, 16, ... rows). Every answer must equal the one a
+// deep copy taken at the snapshot's row count gives.
+TEST(RelationStoreTest, HeldSnapshotsAnswerLikeDeepCopiesUnderAppends) {
+  constexpr int kRows = 2000;
+  auto tuple_of = [](int i) {
+    return Tuple({Value::Int(i % 37), Value::Int(i % 101)});  // Distinct.
+  };
+  std::vector<std::vector<Tuple>> batches;
+  for (int i = 0, step = 1; i < kRows; step = step % 67 + 5) {
+    std::vector<Tuple> batch;
+    for (int end = std::min(kRows, i + step); i < end; ++i) {
+      batch.push_back(tuple_of(i));
+      if (i % 5 == 0) batch.push_back(tuple_of(i / 2));  // A duplicate.
+    }
+    batches.push_back(std::move(batch));
+  }
+
+  Database db;
+  ASSERT_TRUE(db.CreateRelation(PairSchema()).ok());
+  SnapshotStore store;
+  // copies[v]: a deep copy of "r" as snapshot v publishes it, written by the
+  // writer before that publication.
+  std::vector<Relation> copies(batches.size() + 1, Relation(PairSchema()));
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> checks{0};
+  std::atomic<uint64_t> mismatches{0};
+
+  auto check = [&](const DbSnapshot& snap, int salt) {
+    const Relation& copy = copies[snap.version()];
+    RelationView view = snap.View("r");
+    bool ok = view.size() == copy.size();
+    for (int k = 0; k < 8; ++k) {
+      int i = (salt * 131 + k * 977) % (kRows + 200);  // Some never inserted.
+      ok &= view.Contains(tuple_of(i)) == copy.Contains(tuple_of(i));
+      ok &= !view.Contains(Tuple({Value::Int(i)}));
+    }
+    for (size_t column = 0; column < 2; ++column) {
+      Value key = Value::Int((salt + static_cast<int>(column) * 7) % 103);
+      ok &= Matches(view, column, key) == Filter(copy, column, key);
+    }
+    if (salt % 16 == 0) {
+      std::set<Tuple> rows;
+      for (size_t i = 0; i < view.size(); ++i) rows.insert(view.row(i));
+      ok &= rows == copy.tuples();
+    }
+    checks.fetch_add(1);
+    if (!ok) mismatches.fetch_add(1);
+  };
+
+  constexpr int kReaders = 3;
+  std::atomic<int> started{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      SnapshotPtr first = store.Acquire();
+      started.fetch_add(1);
+      int salt = t;
+      while (!done.load(std::memory_order_relaxed)) {
+        SnapshotPtr held = store.Acquire();
+        for (int k = 0; k < 4; ++k) check(*held, salt++);
+      }
+      check(*first, 0);
+      check(*store.Acquire(), 1);
+    });
+  }
+  while (started.load() < kReaders) std::this_thread::yield();
+  for (size_t v = 1; v <= batches.size(); ++v) {
+    for (const Tuple& t : batches[v - 1]) (void)db.Insert("r", t);
+    copies[v] = *db.FindRelation("r");
+    store.Publish(BuildSnapshot(db, v));
+    std::this_thread::yield();
+  }
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(db.FindRelation("r")->size(), static_cast<size_t>(kRows));
+  EXPECT_GT(checks.load(), 0u);
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 TEST(DatabaseTest, CreateAndLookup) {

@@ -7,6 +7,7 @@
 #include "src/lang/parser.h"
 #include "src/net/sim_runtime.h"
 #include "src/net/thread_runtime.h"
+#include "src/obs/metrics.h"
 #include "src/relational/null_iso.h"
 #include "src/workload/scenario.h"
 
@@ -194,6 +195,25 @@ rule x: R.rec(A, T) => P.pub(I, T, Y), P.wrote(A, I);
   ASSERT_EQ(wrote->size(), 1u);
   // Shared existential: the same null links the two atoms.
   EXPECT_EQ(pub->tuples().begin()->at(0), wrote->tuples().begin()->at(1));
+}
+
+// Chase time is work done, so it is timed on the steady clock: on the
+// simulator, whose clock never moves inside a handler, it must not read 0.
+TEST(UpdateTest, SimulatedUpdateRecordsChaseTime) {
+  workload::ScenarioOptions options;
+  options.topology.kind = workload::TopologySpec::Kind::kTree;
+  options.topology.nodes = 7;
+  options.records_per_node = 200;
+  auto system = workload::BuildScenario(options);
+  ASSERT_TRUE(system.ok());
+  obs::Histogram* chase =
+      obs::Registry::Global().GetHistogram("update.chase_apply_micros");
+  obs::HistogramSnapshot before = chase->Snapshot();
+  net::SimRuntime rt;
+  auto session = RunFull(*system, &rt);
+  obs::HistogramSnapshot after = chase->Snapshot();
+  EXPECT_GT(after.count, before.count);
+  EXPECT_GT(after.sum, before.sum);
 }
 
 TEST(UpdateTest, TokenRingClosesLargerCycle) {
